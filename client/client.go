@@ -61,6 +61,11 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("recdb server: %s: %s", e.Code, e.Message)
 }
 
+// WireCode reports the server's own code and message, so a server
+// relaying this answer (the sharding router) passes the verdict through
+// unchanged.
+func (e *ServerError) WireCode() (string, string) { return e.Code, e.Message }
+
 // ErrClosed is returned by calls on a closed (or poisoned) connection.
 var ErrClosed = errors.New("client: connection closed")
 

@@ -1,62 +1,19 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-	"net"
 	"net/http"
 
 	"recdb"
+	"recdb/internal/metrics"
 )
 
-// MetricsHandler serves db's metrics snapshot over HTTP:
-//
-//	/metrics       the registry as sorted "name value" text lines
-//	/metrics.json  expvar-style JSON: counters and gauges as numbers,
-//	/debug/vars    histograms as {count, sum, mean, p50, p99} objects
-//
-// Every request takes a fresh snapshot; the instruments themselves are
-// lock-free, so scraping never stalls query traffic.
+// MetricsHandler serves db's metrics over HTTP; see metrics.Handler.
 func MetricsHandler(db *recdb.DB) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, db.Metrics().String())
-	})
-	serveJSON := func(w http.ResponseWriter, r *http.Request) {
-		snap := db.Metrics()
-		vars := make(map[string]any, len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms))
-		for _, c := range snap.Counters {
-			vars[c.Name] = c.Value
-		}
-		for _, g := range snap.Gauges {
-			vars[g.Name] = g.Value
-		}
-		for _, h := range snap.Histograms {
-			vars[h.Name] = map[string]any{
-				"count": h.Count, "sum": h.Sum, "mean": h.Mean,
-				"p50": h.P50, "p99": h.P99,
-			}
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(vars)
-	}
-	mux.HandleFunc("/metrics.json", serveJSON)
-	mux.HandleFunc("/debug/vars", serveJSON)
-	return mux
+	return metrics.Handler(db.Engine().Metrics().Snapshot)
 }
 
 // ServeMetrics starts the metrics HTTP listener on addr and returns the
-// bound address and a stop function. It serves in the background until
-// stopped; serve errors after stop are ignored.
+// bound address and a stop function; see metrics.Serve.
 func ServeMetrics(db *recdb.DB, addr string) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("server: metrics listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: MetricsHandler(db)}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
+	return metrics.Serve(addr, db.Engine().Metrics().Snapshot)
 }

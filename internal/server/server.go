@@ -1,279 +1,90 @@
-// Package server is the network serving layer: it exposes an embedded
-// recdb.DB over TCP speaking the wire protocol (internal/wire), turning
-// the library into recdb-server.
+// Package server is recdb-server's serving layer: it exposes an embedded
+// recdb.DB over TCP through the shared wire-protocol front end
+// (internal/frontend), as a handler that runs each connection's
+// statements on its own recdb.Session.
 //
-// Each accepted connection becomes a session with a server-assigned id.
-// A session runs two goroutines: a reader that decodes frames (answering
-// Ping and Cancel immediately, even while a statement runs) and a worker
-// that executes Query/Exec requests one at a time in arrival order and
-// streams the response frames back. Per-query timeouts and client Cancel
-// frames travel as context cancellation into the executor's operator
-// tree, so an interrupted scan stops between rows instead of running to
-// completion for nobody.
-//
-// Backpressure is a hard connection limit: once MaxConns sessions are
-// live, further connections are answered with a typed "busy" Error frame
-// and closed, so an overload sheds load at accept time instead of
-// queueing unbounded work. Shutdown drains: the listener closes, live
-// statements run to completion, queued-but-unstarted requests are
-// answered "shutdown", and — when the database has a durable home — a
-// final checkpoint lands before Shutdown returns.
-//
-// A panic inside one session's statement is recovered, answered with an
-// "internal" Error frame, and closes only that session; the server and
-// its other sessions keep running.
+// Per-connection sessions, pipelining, cancellation, backpressure, panic
+// isolation and the drain contract are the front end's; this package
+// adds what is specific to an engine. A connection's transaction state
+// (BEGIN/COMMIT/ROLLBACK) lives in its recdb.Session, and a client that
+// drops mid-transaction has it rolled back. Once a Shutdown drain
+// completes, a database with a durable home takes a final checkpoint
+// before Shutdown returns.
 package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
-	"sync"
-	"time"
 
 	"recdb"
-	"recdb/internal/metrics"
-	"recdb/internal/wire"
+	"recdb/internal/frontend"
 )
 
-// Options tunes a Server. The zero value serves with the defaults noted
-// on each field.
-type Options struct {
-	// MaxConns caps live sessions; further connections are rejected with
-	// a "busy" Error frame (0 = 64).
-	MaxConns int
-	// QueryTimeout bounds each statement's execution. A request's own
-	// TimeoutMillis tightens but never loosens it (0 = no server bound).
-	QueryTimeout time.Duration
-	// IdleTimeout closes a session with no request in flight and no
-	// bytes arriving (0 = 5 minutes).
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each response flush (0 = 30 seconds).
-	WriteTimeout time.Duration
-	// Name is the server string sent in the Hello frame (default "recdb").
-	Name string
-	// Logf receives connection-level diagnostics (nil = silent).
-	Logf func(format string, args ...any)
-}
+// Options tunes a Server; see frontend.Options.
+type Options = frontend.Options
 
-func (o Options) withDefaults() Options {
-	if o.MaxConns <= 0 {
-		o.MaxConns = 64
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 5 * time.Minute
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
-	if o.Name == "" {
-		o.Name = "recdb"
-	}
-	return o
-}
-
-// serverMetrics is the serving layer's slice of the engine registry.
-type serverMetrics struct {
-	connsActive    *metrics.Gauge
-	sessionsOpened *metrics.Counter
-	sessionsClosed *metrics.Counter
-	queries        *metrics.Counter
-	queryNs        *metrics.Histogram
-	bytesIn        *metrics.Counter
-	bytesOut       *metrics.Counter
-	rejectedBusy   *metrics.Counter
-	panics         *metrics.Counter
-}
-
-func newServerMetrics(r *metrics.Registry) serverMetrics {
-	return serverMetrics{
-		connsActive:    r.Gauge("server.conns_active"),
-		sessionsOpened: r.Counter("server.sessions_opened"),
-		sessionsClosed: r.Counter("server.sessions_closed"),
-		queries:        r.Counter("server.queries"),
-		queryNs:        r.Histogram("server.query_ns"),
-		bytesIn:        r.Counter("server.bytes_in"),
-		bytesOut:       r.Counter("server.bytes_out"),
-		rejectedBusy:   r.Counter("server.rejected_busy"),
-		panics:         r.Counter("server.panics"),
-	}
-}
-
-// Server serves one recdb.DB to network clients.
+// Server serves one recdb.DB to network clients. Serve, Addr and
+// Shutdown come from the embedded front end.
 type Server struct {
-	db   *recdb.DB
-	opts Options
-	m    serverMetrics
+	*frontend.Server
+	db *recdb.DB
 
 	// testExecHook, when set before Serve, runs just before each
 	// statement executes — the panic-isolation tests use it to blow up a
 	// chosen statement without needing a crashing SQL input.
 	testExecHook func(sql string)
-
-	mu       sync.Mutex
-	ln       net.Listener
-	sessions map[uint64]*session
-	nextSID  uint64
-	draining bool
-
-	wg sync.WaitGroup
 }
 
 // New wraps db in a Server. The server records into db's own metrics
-// registry, so `\metrics` and the HTTP exporter see serving-layer
-// instruments next to engine ones.
+// registry under "server.", so `\metrics` and the HTTP exporter see
+// serving-layer instruments next to engine ones.
 func New(db *recdb.DB, opts Options) *Server {
-	return &Server{
-		db:       db,
-		opts:     opts.withDefaults(),
-		m:        newServerMetrics(db.Engine().Metrics()),
-		sessions: make(map[uint64]*session),
-	}
+	s := &Server{db: db}
+	s.Server = frontend.New(handler{s}, opts, db.Engine().Metrics(), "server")
+	return s
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", addr, err)
-	}
-	return s.Serve(ln)
+// handler adapts the Server to the front end.
+type handler struct{ s *Server }
+
+func (h handler) Open() frontend.Session {
+	return dbSession{s: h.s, sess: h.s.db.NewSession()}
 }
 
-// Serve accepts connections on ln until it fails or Shutdown closes it.
-// It returns nil after a Shutdown, the accept error otherwise.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		_ = ln.Close()
-		return errors.New("server: already shut down")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return fmt.Errorf("server: accept: %w", err)
-		}
-		s.dispatch(conn)
-	}
-}
-
-// Addr returns the listening address ("" before Serve).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// dispatch admits conn as a session or rejects it with a typed error
-// frame when the server is at capacity or draining.
-func (s *Server) dispatch(conn net.Conn) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.rejectConn(conn, wire.CodeShutdown, "server is shutting down")
-		return
-	}
-	if len(s.sessions) >= s.opts.MaxConns {
-		s.mu.Unlock()
-		s.m.rejectedBusy.Inc()
-		s.rejectConn(conn, wire.CodeBusy,
-			fmt.Sprintf("server at its %d-connection limit", s.opts.MaxConns))
-		return
-	}
-	s.nextSID++
-	sess := newSession(s, s.nextSID, conn)
-	s.sessions[sess.id] = sess
-	s.mu.Unlock()
-
-	s.m.connsActive.Add(1)
-	s.m.sessionsOpened.Inc()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		sess.run()
-		s.mu.Lock()
-		delete(s.sessions, sess.id)
-		s.mu.Unlock()
-		s.m.connsActive.Add(-1)
-		s.m.sessionsClosed.Inc()
-	}()
-}
-
-// rejectConn answers a connection the server will not admit, off the
-// accept loop so a slow or dead peer cannot stall other accepts.
-func (s *Server) rejectConn(conn net.Conn, code, msg string) {
-	go func() {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		_ = wire.WriteFrame(conn, wire.TypeError,
-			wire.AppendError(nil, wire.ErrorMsg{Code: code, Message: msg}))
-		_ = conn.Close()
-	}()
-}
-
-// Shutdown drains the server: stop accepting, let in-flight statements
-// finish, answer queued-but-unstarted requests with "shutdown", wait for
-// every session to end, then checkpoint the database if it has a durable
-// home. If ctx expires first, remaining connections are closed hard (the
-// checkpoint still runs) and ctx's error is returned.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	ln := s.ln
-	live := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
-	s.mu.Unlock()
-	if already {
-		return errors.New("server: already shut down")
-	}
-	if ln != nil {
-		_ = ln.Close()
-	}
-	for _, sess := range live {
-		sess.beginDrain()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		drainErr = fmt.Errorf("server: drain interrupted: %w", ctx.Err())
-		for _, sess := range live {
-			sess.closeConn()
-		}
-		<-done
-	}
-
-	if info := s.db.Durability(); info.Attached {
-		if err := s.db.SaveTo(info.Dir); err != nil {
+// Drained takes the final checkpoint when the database has a durable
+// home.
+func (h handler) Drained(context.Context) error {
+	if info := h.s.db.Durability(); info.Attached {
+		if err := h.s.db.SaveTo(info.Dir); err != nil {
 			return fmt.Errorf("server: final checkpoint: %w", err)
 		}
 	}
-	return drainErr
+	return nil
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
+// dbSession runs one connection's statements on its recdb.Session.
+type dbSession struct {
+	s    *Server
+	sess *recdb.Session
 }
+
+func (d dbSession) Query(ctx context.Context, sql string) (frontend.RowSource, error) {
+	if hook := d.s.testExecHook; hook != nil {
+		hook(sql)
+	}
+	rows, err := d.sess.QueryContext(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+func (d dbSession) Exec(ctx context.Context, sql string) (int64, error) {
+	if hook := d.s.testExecHook; hook != nil {
+		hook(sql)
+	}
+	res, err := d.sess.ExecContext(ctx, sql)
+	return res.RowsAffected, err
+}
+
+func (d dbSession) Close() error { return d.sess.Close() }

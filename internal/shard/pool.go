@@ -26,6 +26,9 @@ func (e *ShardDownError) Error() string {
 	return fmt.Sprintf("shard %d (%s) is down: %v", e.Shard, e.Addr, e.Err)
 }
 
+// WireCode answers the statement "shard_down" on the front end.
+func (e *ShardDownError) WireCode() (string, string) { return wire.CodeShardDown, e.Error() }
+
 // Unwrap exposes the underlying transport failure.
 func (e *ShardDownError) Unwrap() error { return e.Err }
 

@@ -1,7 +1,7 @@
 // Package shard is the horizontal-scale serving tier: a router that
-// speaks the wire protocol (internal/wire) on both sides — a
-// server-style front end for clients and pooled client connections to N
-// backend shard engines (plain recdb-server processes).
+// speaks the wire protocol (internal/wire) on both sides — the shared
+// session front end (internal/frontend) for clients and pooled client
+// connections to N backend shard engines (plain recdb-server processes).
 //
 // Recommendation traffic partitions naturally by user id: the paper's
 // workload is dominated by per-user statements (RECOMMEND ... WHERE uid

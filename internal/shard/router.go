@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"recdb/client"
+	"recdb/internal/frontend"
 	"recdb/internal/metrics"
 	"recdb/internal/sql"
 	"recdb/internal/wire"
@@ -82,15 +82,6 @@ func (o Options) withDefaults() Options {
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = time.Second
 	}
-	if o.MaxConns <= 0 {
-		o.MaxConns = 64
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 5 * time.Minute
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
 	if o.Name == "" {
 		o.Name = "recdb-router"
 	}
@@ -105,15 +96,20 @@ type tableInfo struct {
 }
 
 // denyError is a statement the router refused to route; it surfaces as
-// a wire "query" error, since the statement itself is at fault.
+// a wire "query" error (the front end's default), since the statement
+// itself is at fault.
 type denyError struct{ reason string }
 
 func (e *denyError) Error() string { return e.reason }
 
 // Router is the sharded serving tier's front door: it speaks the wire
-// protocol to clients exactly as recdb-server does, and fans statements
-// out to backend shards over pooled, pipelined client connections.
+// protocol to clients through the same front end recdb-server runs
+// (internal/frontend), and fans statements out to backend shards over
+// pooled, pipelined client connections. Serve, Addr and Shutdown come
+// from the embedded front end; Shutdown also stops the health prober
+// and closes every shard pool once the last client session has ended.
 type Router struct {
+	*frontend.Server
 	opts Options
 	ring *Ring
 	reg  *metrics.Registry
@@ -121,16 +117,11 @@ type Router struct {
 
 	states []*shardState
 
-	mu       sync.Mutex
-	ln       net.Listener
-	sessions map[uint64]*rsession
-	nextSID  uint64
-	draining bool
-	schema   map[string]tableInfo
-	rrAny    int // round-robin cursor for RouteAny
+	mu     sync.Mutex
+	schema map[string]tableInfo
+	rrAny  int // round-robin cursor for RouteAny
 
 	stopProbe chan struct{}
-	wg        sync.WaitGroup // front-end sessions
 	probeWG   sync.WaitGroup
 }
 
@@ -148,10 +139,17 @@ func New(opts Options) (*Router, error) {
 		ring:      ring,
 		reg:       reg,
 		m:         newRouterMetrics(reg),
-		sessions:  make(map[uint64]*rsession),
 		schema:    make(map[string]tableInfo),
 		stopProbe: make(chan struct{}),
 	}
+	r.Server = frontend.New(handler{r}, frontend.Options{
+		MaxConns:     opts.MaxConns,
+		QueryTimeout: opts.QueryTimeout,
+		IdleTimeout:  opts.IdleTimeout,
+		WriteTimeout: opts.WriteTimeout,
+		Name:         opts.Name,
+		Logf:         opts.Logf,
+	}, reg, "shard")
 	for i, addr := range opts.Shards {
 		r.states = append(r.states, newShardState(i, addr, opts.PoolSize, newShardMetrics(reg, i)))
 	}
@@ -162,6 +160,58 @@ func New(opts Options) (*Router, error) {
 	go r.probeLoop()
 	return r, nil
 }
+
+// handler adapts the Router to the front end. Routing keeps no
+// per-connection state, so the handler is also every session.
+type handler struct{ r *Router }
+
+func (h handler) Open() frontend.Session { return h }
+
+// Drained stops the health prober and closes every shard pool.
+func (h handler) Drained(context.Context) error {
+	close(h.r.stopProbe)
+	h.r.probeWG.Wait()
+	for _, s := range h.r.states {
+		s.close()
+	}
+	return nil
+}
+
+// Query routes a single read statement and answers the combined rows.
+func (h handler) Query(ctx context.Context, text string) (frontend.RowSource, error) {
+	script, err := sql.ParseScript(text)
+	if err != nil {
+		return nil, err
+	}
+	if len(script) != 1 {
+		return nil, fmt.Errorf("query must be a single statement, got %d", len(script))
+	}
+	res, err := h.r.execute(ctx, wire.TypeQuery, script[0].Text, script[0].Stmt)
+	if err != nil {
+		return nil, err
+	}
+	return client.NewRows(res.cols, res.strategy, res.rows), nil
+}
+
+// Exec routes each statement of a script in order, summing the counts;
+// the first failure ends the script.
+func (h handler) Exec(ctx context.Context, text string) (int64, error) {
+	script, err := sql.ParseScript(text)
+	if err != nil {
+		return 0, err
+	}
+	var affected int64
+	for _, st := range script {
+		res, err := h.r.execute(ctx, wire.TypeExec, st.Text, st.Stmt)
+		if err != nil {
+			return 0, err
+		}
+		affected += res.affected
+	}
+	return affected, nil
+}
+
+func (handler) Close() error { return nil }
 
 // probeLoop pings every shard each HealthInterval until Shutdown.
 func (r *Router) probeLoop() {
@@ -193,153 +243,6 @@ func (r *Router) Healthy() []bool {
 		out[i] = s.healthy()
 	}
 	return out
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (r *Router) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("shard: listen %s: %w", addr, err)
-	}
-	return r.Serve(ln)
-}
-
-// Serve accepts client connections on ln until it fails or Shutdown
-// closes it. It returns nil after a Shutdown, the accept error
-// otherwise.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		_ = ln.Close()
-		return errors.New("shard: router already shut down")
-	}
-	r.ln = ln
-	r.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			draining := r.draining
-			r.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return fmt.Errorf("shard: accept: %w", err)
-		}
-		r.dispatch(conn)
-	}
-}
-
-// Addr returns the listening address ("" before Serve).
-func (r *Router) Addr() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ln == nil {
-		return ""
-	}
-	return r.ln.Addr().String()
-}
-
-// dispatch admits conn as a session or rejects it with a typed error
-// frame when the router is at capacity or draining.
-func (r *Router) dispatch(conn net.Conn) {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		r.rejectConn(conn, wire.CodeShutdown, "router is shutting down")
-		return
-	}
-	if len(r.sessions) >= r.opts.MaxConns {
-		r.mu.Unlock()
-		r.m.rejectedBusy.Inc()
-		r.rejectConn(conn, wire.CodeBusy,
-			fmt.Sprintf("router at its %d-connection limit", r.opts.MaxConns))
-		return
-	}
-	r.nextSID++
-	sess := newRSession(r, r.nextSID, conn)
-	r.sessions[sess.id] = sess
-	r.mu.Unlock()
-
-	r.m.connsActive.Add(1)
-	r.m.sessionsOpened.Inc()
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		sess.run()
-		r.mu.Lock()
-		delete(r.sessions, sess.id)
-		r.mu.Unlock()
-		r.m.connsActive.Add(-1)
-		r.m.sessionsClosed.Inc()
-	}()
-}
-
-// rejectConn answers a connection the router will not admit, off the
-// accept loop so a slow or dead peer cannot stall other accepts.
-func (r *Router) rejectConn(conn net.Conn, code, msg string) {
-	go func() {
-		_ = conn.SetWriteDeadline(time.Now().Add(r.opts.WriteTimeout))
-		_ = wire.WriteFrame(conn, wire.TypeError,
-			wire.AppendError(nil, wire.ErrorMsg{Code: code, Message: msg}))
-		_ = conn.Close()
-	}()
-}
-
-// Shutdown drains the router: stop accepting, let in-flight statements
-// finish, answer queued-but-unstarted requests "shutdown", stop the
-// health prober, then close every shard pool. If ctx expires first,
-// remaining client connections are closed hard and ctx's error is
-// returned.
-func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	already := r.draining
-	r.draining = true
-	ln := r.ln
-	live := make([]*rsession, 0, len(r.sessions))
-	for _, sess := range r.sessions {
-		live = append(live, sess)
-	}
-	r.mu.Unlock()
-	if already {
-		return errors.New("shard: router already shut down")
-	}
-	if ln != nil {
-		_ = ln.Close()
-	}
-	for _, sess := range live {
-		sess.beginDrain()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		drainErr = fmt.Errorf("shard: drain interrupted: %w", ctx.Err())
-		for _, sess := range live {
-			sess.closeConn()
-		}
-		<-done
-	}
-
-	close(r.stopProbe)
-	r.probeWG.Wait()
-	for _, s := range r.states {
-		s.close()
-	}
-	return drainErr
-}
-
-func (r *Router) logf(format string, args ...any) {
-	if r.opts.Logf != nil {
-		r.opts.Logf(format, args...)
-	}
 }
 
 // routerCatalog adapts the router's learned schema to route

@@ -203,10 +203,14 @@ func AppendID(dst []byte, id uint32) []byte {
 	return binary.LittleEndian.AppendUint32(dst, id)
 }
 
-// DecodeID decodes a Ping, Pong, or Cancel payload.
+// DecodeID decodes a Ping, Pong, or Cancel payload, which is the id
+// and nothing else.
 func DecodeID(p []byte) (uint32, error) {
 	if len(p) < 4 {
 		return 0, &FrameError{Reason: "truncated id"}
+	}
+	if len(p) > 4 {
+		return 0, &FrameError{Reason: "trailing bytes after id"}
 	}
 	return binary.LittleEndian.Uint32(p[0:4]), nil
 }
